@@ -34,7 +34,6 @@
 //	GET  /metrics    Prometheus text exposition
 //	GET  /debug/traces      list of retained request traces
 //	GET  /debug/trace/{id}  Chrome trace JSON for one request ID
-//	GET  /debug/trace       Chrome trace JSON of the most recent retained trace
 package server
 
 import (
@@ -112,9 +111,9 @@ type Server struct {
 	// baseCtx is the server's lifecycle root: hooks and other
 	// non-request callbacks that need a context log against it instead
 	// of minting their own.
-	baseCtx context.Context
-	cache   *queryCache
-	batch   *batcher
+	baseCtx  context.Context
+	cache    *queryCache
+	batch    *batcher
 	timeout  time.Duration
 	maxJoin  int
 	maxBody  int64
@@ -255,7 +254,6 @@ func New(cfg Config) *Server {
 	s.route("/statusz", http.MethodGet, s.handleStatusz)
 	s.route("/metrics", http.MethodGet, s.handleMetrics)
 	s.route("/debug/traces", http.MethodGet, s.handleTraces)
-	s.route("/debug/trace", http.MethodGet, s.handleTrace)
 	s.route("/debug/trace/{id}", http.MethodGet, s.handleTraceByID)
 	if s.cluster != nil {
 		s.route(cluster.PathSearch, http.MethodPost, s.handleClusterSearch)

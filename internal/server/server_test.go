@@ -221,10 +221,11 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatalf("statusz last trace invalid: %+v", st.LastTrace)
 	}
 
-	// The exported sweep trace parses as Chrome trace JSON with events.
-	resp, err = http.Get(ts.URL + "/debug/trace")
+	// The last retained trace, fetched by its id, parses as Chrome
+	// trace JSON with events.
+	resp, err = http.Get(ts.URL + "/debug/trace/" + st.LastTrace.ID)
 	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("debug/trace: %v %v", resp.StatusCode, err)
+		t.Fatalf("debug/trace/%s: %v %v", st.LastTrace.ID, resp.StatusCode, err)
 	}
 	var trace struct {
 		TraceEvents []struct {
@@ -237,7 +238,7 @@ func TestEndToEnd(t *testing.T) {
 	}
 	resp.Body.Close()
 	if len(trace.TraceEvents) == 0 {
-		t.Fatal("debug/trace exported no events")
+		t.Fatalf("debug/trace/%s exported no events", st.LastTrace.ID)
 	}
 }
 

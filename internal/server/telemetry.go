@@ -132,18 +132,6 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) error {
 	return rec.Tracer.WriteChromeTrace(w)
 }
 
-// handleTrace (legacy single-slot endpoint) serves the most recent
-// retained trace.
-func (s *Server) handleTrace(w http.ResponseWriter, _ *http.Request) error {
-	recent := s.traces.Recent()
-	if len(recent) == 0 {
-		return finish(w, &httpError{status: http.StatusNotFound,
-			err: errNoSuchTrace})
-	}
-	w.Header().Set("Content-Type", "application/json")
-	return recent[0].Tracer.WriteChromeTrace(w)
-}
-
 // sortedPaths returns the registered endpoint paths in stable order for
 // deterministic /metrics output.
 func (s *Server) sortedPaths() []string {

@@ -321,7 +321,9 @@ func TestTelemetryUnderTraffic(t *testing.T) {
 				case 2:
 					get(t, ts.URL+"/debug/traces", nil)
 				case 3:
-					get(t, ts.URL+"/debug/trace", nil) // may 404 before first retention
+					if last := s.Status().LastTrace; last.Present {
+						get(t, ts.URL+"/debug/trace/"+last.ID, nil) // may 404 once evicted
+					}
 				}
 			}
 		}(g)

@@ -2,8 +2,10 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"rankjoin/internal/obs"
 	"rankjoin/internal/rankings"
@@ -18,12 +20,7 @@ type shardOut struct {
 	segs      []int32    // per-query [start,end) pairs into neighbors (2 per query)
 	delta     obs.FilterDelta
 
-	// kNN probe output (sweepPhase1): per-query verified candidate
-	// distances the Batch merges into the global kNN cutoff.
-	probe []Neighbor
-	pseg  []int32 // per-query [start,end) pairs into probe (2 per query)
-
-	// Sweep scratch (see Shard.sweepPhase1).
+	// Sweep scratch (see Shard.sweep).
 	qd     []int32                  // query-to-pivot distances, query-major
 	ob     []uint8                  // overlap-bound matrix, query-major
 	cand   []int32                  // kNN candidate order (counting sort)
@@ -48,19 +45,9 @@ type Batch struct {
 
 	qsig []rankings.Sig
 	qpop []uint8
+	cut  []atomic.Int32 // per-query shared kNN cutoff (see Shard.knnInto)
 
-	// twoPhase is set per call when the batch contains kNN queries: the
-	// shard goroutines then pause on wg2 after their phase-1 sweep
-	// (holding their shard's RLock) until the main goroutine has merged
-	// the per-shard probes into the global cutoffs gb, and finish with
-	// phase 2. Range-only batches complete in phase 1 alone.
-	twoPhase bool
-	gb       []int      // per-query global kNN distance cutoff
-	pscratch []Neighbor // probe-merge scratch, one query at a time
-
-	wg    sync.WaitGroup // shard goroutines: phase 1 done
-	wg2   sync.WaitGroup // main goroutine: global bounds ready
-	wg3   sync.WaitGroup // shard goroutines: phase 2 done
+	wg    sync.WaitGroup // shard goroutines: sweep done
 	funcs []func()       // pre-bound per-shard sweeps: `go f()` allocates nothing
 	so    []shardOut
 
@@ -80,16 +67,7 @@ func (x *Index) NewBatch() *Batch {
 		i := i
 		b.funcs[i] = func() {
 			b.runShard(i)
-			// Latch twoPhase before Done: the instant the last shard
-			// signals, the main goroutine may move on to the next batch
-			// and overwrite the field.
-			two := b.twoPhase
 			b.wg.Done()
-			if two {
-				b.wg2.Wait() // global bounds ready
-				b.runShard2(i)
-				b.wg3.Done()
-			}
 		}
 	}
 	return b
@@ -101,67 +79,21 @@ func (b *Batch) runShard(i int) {
 	so := &b.so[i]
 	if b.span != nil {
 		t := b.span.StartTask(b.x.spanNames[i], obs.Int("size", int64(s.Len()))) //ranklint:ignore sampled-trace branch; the zero-alloc contract covers the span==nil path
-		s.sweepPhase1(b.qs, b.qsig, b.qpop, so, b.twoPhase)
+		s.sweep(b.qs, b.qsig, b.qpop, b.cut, so)
 		t.SetInt("hits", int64(len(so.neighbors))) //ranklint:ignore sampled-trace branch
 		t.End()                                    //ranklint:ignore sampled-trace branch
 	} else {
-		s.sweepPhase1(b.qs, b.qsig, b.qpop, so, b.twoPhase)
-	}
-}
-
-//ranklint:allocfree
-func (b *Batch) runShard2(i int) {
-	s := b.x.shards[i]
-	so := &b.so[i]
-	if b.span != nil {
-		t := b.span.StartTask(b.x.spanNames[i], obs.Int("phase", 2)) //ranklint:ignore sampled-trace branch; the zero-alloc contract covers the span==nil path
-		s.sweepPhase2(b.qs, b.gb, so)
-		t.SetInt("hits", int64(len(so.neighbors))) //ranklint:ignore sampled-trace branch
-		t.End()                                    //ranklint:ignore sampled-trace branch
-	} else {
-		s.sweepPhase2(b.qs, b.gb, so)
-	}
-}
-
-// globalBounds merges the per-shard kNN probes into b.gb: for each kNN
-// query, the q.KNN-th smallest probed distance under the (dist, id)
-// order — an admissible cutoff, since at least q.KNN indexed rankings
-// were verified at or below it. Queries whose probes came up short
-// (tiny shards, oversized k) fall back to MaxFootrule, which rejects
-// nothing.
-//
-//ranklint:allocfree
-func (b *Batch) globalBounds(qs []Query) {
-	b.gb = growCap(b.gb, len(qs))
-	for qi := range qs {
-		q := &qs[qi]
-		if q.KNN <= 0 {
-			b.gb[qi] = 0
-			continue
-		}
-		b.pscratch = b.pscratch[:0]
-		for si := range b.so {
-			so := &b.so[si]
-			b.pscratch = append(b.pscratch, so.probe[so.pseg[2*qi]:so.pseg[2*qi+1]]...)
-		}
-		if len(b.pscratch) >= q.KNN {
-			slices.SortFunc(b.pscratch, cmpNeighbor)
-			b.gb[qi] = b.pscratch[q.KNN-1].Dist
-		} else {
-			b.gb[qi] = rankings.MaxFootrule(q.R.K())
-		}
+		s.sweep(b.qs, b.qsig, b.qpop, b.cut, so)
 	}
 }
 
 // SearchBatchInto answers a batch of queries in one fan-out sweep:
 // every shard is visited exactly once (one RLock, all queries, one
 // fused signature pass), shards run concurrently, and per-shard partial
-// results are merged per query into the arena. Batches containing kNN
-// queries sweep in two phases with a barrier between them: the shards'
-// probe results are merged into a global distance cutoff that lets
-// every shard bulk-reject the candidates a purely local heap bound
-// would have verified. The span, when non-nil, receives task children
-// per shard (two per shard for two-phase sweeps).
+// results are merged per query into the arena. Each shard keeps every
+// ranking that can be in a kNN query's global top-n, so the merge's
+// top-n is exact. The span, when non-nil, receives one task child per
+// shard.
 //
 // The returned slices alias the Batch arena and are valid only until
 // the next call on b. Queries' rankings get their position index built
@@ -169,7 +101,6 @@ func (b *Batch) globalBounds(qs []Query) {
 //
 //ranklint:allocfree
 func (b *Batch) SearchBatchInto(qs []Query, span *obs.Span) ([][]Neighbor, error) {
-	hasKNN := false
 	for i := range qs {
 		if err := b.x.checkQuery(qs[i].R); err != nil { //ranklint:ignore checkQuery allocates only when building the rejection error for an invalid query
 			return nil, err
@@ -177,33 +108,23 @@ func (b *Batch) SearchBatchInto(qs []Query, span *obs.Span) ([][]Neighbor, error
 		// Index once, before the fan-out shares the query across
 		// goroutines (Ranking.Index is not concurrency-safe).
 		qs[i].R.Index()
-		if qs[i].KNN > 0 {
-			hasKNN = true
-		}
 	}
 	b.qsig = growCap(b.qsig, len(qs))
 	b.qpop = growCap(b.qpop, len(qs))
+	b.cut = growCap(b.cut, len(qs))
 	for i := range qs {
 		sig, pop := qs[i].R.Signature()
 		b.qsig[i] = sig
 		b.qpop[i] = uint8(pop)
+		b.cut[i].Store(math.MaxInt32)
 	}
 
-	b.qs, b.span, b.twoPhase = qs, span, hasKNN
+	b.qs, b.span = qs, span
 	b.wg.Add(len(b.funcs))
-	if hasKNN {
-		b.wg2.Add(1)
-		b.wg3.Add(len(b.funcs))
-	}
 	for _, f := range b.funcs {
 		go f()
 	}
 	b.wg.Wait()
-	if hasKNN {
-		b.globalBounds(qs)
-		b.wg2.Done()
-		b.wg3.Wait()
-	}
 	b.qs, b.span = nil, nil
 
 	total := 0

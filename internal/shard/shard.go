@@ -1,14 +1,14 @@
-// Package shard implements the online serving index: a sharded,
-// dynamically updatable metric index over top-k rankings. Where
-// metricspace.PivotIndex is built once over a frozen dataset, this
-// package keeps per-shard LAESA-style pivot tables that absorb
-// Insert/Delete traffic under an RWMutex, answer range and kNN queries
+// Package shard implements the repository's one range and kNN search
+// path: a sharded, dynamically updatable metric index over top-k
+// rankings. Each shard keeps a LAESA-style pivot table that absorbs
+// Insert/Delete traffic under an RWMutex, answers range and kNN queries
 // with a 128-bit item-signature prefilter followed by
-// triangle-inequality pruning, and re-pivot themselves in the
-// background when churn (or a collapsed prune rate) degrades pruning
-// power — the serving-side counterpart of the error-bounded pivot
-// selection literature: pruning only stays effective while the pivots
-// still describe the data.
+// triangle-inequality pruning, and re-pivots itself in the background
+// when churn (or a collapsed prune rate) degrades pruning power — the
+// serving-side counterpart of the error-bounded pivot selection
+// literature: pruning only stays effective while the pivots still
+// describe the data. The static rankjoin.Index is a one-shard Index
+// bulk-loaded once.
 //
 // Every mutation bumps the owning shard's epoch by exactly one, so the
 // per-shard epoch is a dense cursor over that shard's mutation history:
@@ -544,34 +544,26 @@ func (s *Shard) rePivot() {
 	}
 }
 
-// sweepPhase1 is the first half of the fused multi-query sweep: under
-// one RLock acquisition it makes ONE pass over the shard's signature
-// arrays and upper-bounds every (entry, query) item overlap with an
-// AND+popcount (phase A), computes the query-to-pivot rows, answers
-// every RANGE query completely, and — when twoPhase is set because the
-// batch contains kNN queries — runs a cheap bound PROBE per kNN query:
-// verify just the top-q.KNN candidates by overlap bound, whose
-// distances the Batch merges across shards into a global kNN cutoff.
+// sweep is the fused multi-query sweep. Under one RLock, taken and
+// released here, it makes ONE pass over the shard's signature arrays
+// and upper-bounds every (entry, query) item overlap with an
+// AND+popcount (phase A), computes the query-to-pivot rows, and then
+// answers every query off its overlap-bound row: range queries by
+// rangeInto, kNN queries by knnInto. Nothing under the lock waits on
+// another goroutine: the kNN cutoffs other shards publish are read and
+// lowered with atomics only.
 //
-// With twoPhase set the shard RLock is STILL HELD when sweepPhase1
-// returns — the caller must follow up with sweepPhase2, which finishes
-// the kNN queries against the global bounds and releases the lock.
-// Holding the lock across the barrier is what lets phase 2 trust the
-// overlap-bound matrix and candidate indexes computed here. Without
-// twoPhase (range-only batches) the lock is released before returning.
-//
-// qsigs/qpops carry the queries' signatures (parallel to qs). The
+// qsigs/qpops carry the queries' signatures and cut their shared kNN
+// cutoffs (both parallel to qs). The
 // caller must hand so in with so.delta zeroed; hits are appended to
 // so.neighbors with query qi's segment recorded in
 // so.segs[2qi], so.segs[2qi+1]. Filter accounting accumulates into
 // so.delta (Generated = PrunedSignature + PrunedTriangle + Verified;
-// Emitted counts hits); the probe pass is deliberately unledgered —
-// every entry it touches is re-examined and accounted exactly once by
-// the authoritative phase-2 sweep. Steady state allocates nothing:
-// every buffer lives in so and is grown to its high-water mark once.
+// Emitted counts hits). Steady state allocates nothing: every buffer
+// lives in so and is grown to its high-water mark once.
 //
 //ranklint:allocfree
-func (s *Shard) sweepPhase1(qs []Query, qsigs []rankings.Sig, qpops []uint8, so *shardOut, twoPhase bool) {
+func (s *Shard) sweep(qs []Query, qsigs []rankings.Sig, qpops []uint8, cut []atomic.Int32, so *shardOut) {
 	s.mu.RLock()
 	n := len(s.entries)
 	B := len(qs)
@@ -580,16 +572,9 @@ func (s *Shard) sweepPhase1(qs []Query, qsigs []rankings.Sig, qpops []uint8, so 
 	for i := range so.segs {
 		so.segs[i] = 0
 	}
-	so.pseg = growCap(so.pseg, 2*B)[:2*B]
-	for i := range so.pseg {
-		so.pseg[i] = 0
-	}
 	so.neighbors = so.neighbors[:0]
-	so.probe = so.probe[:0]
 	if n == 0 || B == 0 {
-		if !twoPhase {
-			s.mu.RUnlock()
-		}
+		s.mu.RUnlock()
 		return
 	}
 	k := qs[0].R.K() // the index holds one k; checked on entry
@@ -645,57 +630,17 @@ func (s *Shard) sweepPhase1(qs []Query, qsigs []rankings.Sig, qpops []uint8, so 
 		}
 	}
 
-	// Phase B (ranges) / probe (kNN): answer each query off its
-	// overlap-bound row.
+	// Phase B: answer each query off its overlap-bound row.
 	for qi := range qs {
 		q := &qs[qi]
 		exclIdx := s.exclIdx(q)
+		start := int32(len(so.neighbors))
 		if q.KNN > 0 {
-			start := int32(len(so.probe))
-			s.knnProbe(q, qi, n, k, sigUsable, exclIdx, so)
-			so.pseg[2*qi], so.pseg[2*qi+1] = start, int32(len(so.probe))
+			s.knnInto(q, qi, n, k, P, sigUsable, exclIdx, &cut[qi], so)
 		} else {
-			start := int32(len(so.neighbors))
 			s.rangeInto(q, qi, n, k, P, sigUsable, exclIdx, so)
-			so.segs[2*qi], so.segs[2*qi+1] = start, int32(len(so.neighbors))
 		}
-	}
-	if twoPhase {
-		return // still holding s.mu.RLock; sweepPhase2 releases it
-	}
-	s.mu.RUnlock()
-	d := &so.delta
-	if s.notePruning(d.Generated, d.PrunedSignature+d.PrunedTriangle) {
-		s.triggerRePivot() //ranklint:ignore re-pivot trigger: amortized background rebuild, fires off the steady-state sweep
-	}
-}
-
-// sweepPhase2 finishes a two-phase sweep: with the RLock still held
-// from sweepPhase1 it answers every kNN query with the global distance
-// cutoff gb[qi] the Batch derived from all shards' probes, then
-// releases the lock. gb is admissible — at least q.KNN indexed
-// rankings were verified at or below it — so a candidate whose
-// signature lower bound exceeds it can be discarded before the heap is
-// even full, which is what turns the per-shard kNN scan from
-// verify-almost-everything into a bulk signature reject.
-//
-//ranklint:allocfree
-func (s *Shard) sweepPhase2(qs []Query, gb []int, so *shardOut) {
-	n := len(s.entries)
-	P := len(s.pivots)
-	if n > 0 && len(qs) > 0 {
-		k := qs[0].R.K()
-		sigUsable := k <= maxSignatureK
-		for qi := range qs {
-			q := &qs[qi]
-			if q.KNN <= 0 {
-				continue
-			}
-			exclIdx := s.exclIdx(q)
-			start := int32(len(so.neighbors))
-			s.knnInto(q, qi, n, k, P, sigUsable, exclIdx, gb[qi], so)
-			so.segs[2*qi], so.segs[2*qi+1] = start, int32(len(so.neighbors))
-		}
+		so.segs[2*qi], so.segs[2*qi+1] = start, int32(len(so.neighbors))
 	}
 	s.mu.RUnlock()
 	d := &so.delta
@@ -791,50 +736,21 @@ func orderByOverlap(obRow []uint8, k int, so *shardOut) {
 	}
 }
 
-// knnProbe verifies just enough candidates to bound one kNN query: the
-// top q.KNN entries by overlap bound (the likeliest true neighbors),
-// appending their exact distances to so.probe. The Batch merges probes
-// from every shard into a global cutoff for sweepPhase2. The probe
-// touches no filter counters — phase 2 re-examines and accounts every
-// entry — and is skipped for shards smaller than q.KNN, whose probe
-// could only repeat phase 2's work without tightening the bound.
-//
-//ranklint:allocfree
-func (s *Shard) knnProbe(q *Query, qi, n, k int, sigUsable bool, exclIdx int, so *shardOut) {
-	if !sigUsable || n <= q.KNN {
-		return
-	}
-	obRow := so.ob[qi*n : qi*n+n]
-	orderByOverlap(obRow, k, so)
-	maxDist := rankings.MaxFootrule(k)
-	found := 0
-	for ci := 0; ci < n && found < q.KNN; ci++ {
-		ei := int(so.cand[ci])
-		if ei == exclIdx {
-			continue
-		}
-		e := &s.entries[ei]
-		if dist, ok := rankings.FootruleWithin(q.R, e.r, maxDist); ok {
-			so.probe = append(so.probe, Neighbor{ID: e.r.ID, Dist: dist})
-			found++
-		}
-	}
-}
-
-// knnInto scans one query's candidates for the q.KNN nearest rankings.
+// knnInto scans one query's candidates for the q.KNN nearest rankings
+// in this shard. The distance bound is the tighter of this shard's heap
+// (once full, its worst kept distance) and the query's shared cutoff
+// cut (see knnBound); MaxFootrule(k), which rejects nothing, until
+// either exists. Whenever the heap is full it lowers cut to its worst.
 // With signatures usable, candidates are visited in descending
 // overlap-bound order (a stable counting sort over the byte row): the
 // likeliest neighbors fill and tighten the bounded max-heap first, and
 // as soon as the signature lower bound (k−ō)(k−ō+1) of the current
-// overlap class exceeds the tighter of the heap's worst kept distance
-// and the global probe cutoff gb, every remaining candidate — whose
+// overlap class exceeds the bound, every remaining candidate — whose
 // bound can only be lower — is rejected in bulk without touching a
-// single entry. gb must be admissible (≥ the true global q.KNN-th
-// distance under the (dist, id) tie order); rankings.MaxFootrule(k)
-// is always a safe value.
+// single entry.
 //
 //ranklint:allocfree
-func (s *Shard) knnInto(q *Query, qi, n, k, P int, sigUsable bool, exclIdx, gb int, so *shardOut) {
+func (s *Shard) knnInto(q *Query, qi, n, k, P int, sigUsable bool, exclIdx int, cut *atomic.Int32, so *shardOut) {
 	d := &so.delta
 	d.Generated += int64(n)
 	if exclIdx >= 0 {
@@ -843,21 +759,14 @@ func (s *Shard) knnInto(q *Query, qi, n, k, P int, sigUsable bool, exclIdx, gb i
 	h := &so.heap
 	h.reset(q.KNN)
 	qd := so.qd[qi*P : qi*P+P]
+	maxD := rankings.MaxFootrule(k)
 
 	if !sigUsable {
 		for ei := 0; ei < n; ei++ {
 			if ei == exclIdx {
 				continue
 			}
-			bound := gb
-			if h.full() {
-				// A ranking at the worst kept distance can still displace
-				// the root when its id is smaller (the documented
-				// (dist, id) tie order), so the bound must admit equality.
-				if w := h.worst(); w < bound {
-					bound = w
-				}
-			}
+			bound := knnBound(h, cut, maxD)
 			e := &s.entries[ei]
 			pruned := false
 			for p := 0; p < P; p++ {
@@ -874,6 +783,7 @@ func (s *Shard) knnInto(q *Query, qi, n, k, P int, sigUsable bool, exclIdx, gb i
 			if dist, ok := rankings.FootruleWithin(q.R, e.r, bound); ok {
 				d.Emitted++
 				h.push(Neighbor{ID: e.r.ID, Dist: dist})
+				publishCut(h, cut)
 			}
 		}
 		so.neighbors = h.appendSorted(so.neighbors)
@@ -890,12 +800,7 @@ func (s *Shard) knnInto(q *Query, qi, n, k, P int, sigUsable bool, exclIdx, gb i
 			exclSeen = true
 			continue
 		}
-		bound := gb
-		if h.full() {
-			if w := h.worst(); w < bound { // must admit equality; see above
-				bound = w
-			}
-		}
+		bound := knnBound(h, cut, maxD)
 		o := int(obRow[ei])
 		m := k - o
 		if m*(m+1) > bound {
@@ -925,9 +830,45 @@ func (s *Shard) knnInto(q *Query, qi, n, k, P int, sigUsable bool, exclIdx, gb i
 		if dist, ok := rankings.FootruleWithin(q.R, e.r, bound); ok {
 			d.Emitted++
 			h.push(Neighbor{ID: e.r.ID, Dist: dist})
+			publishCut(h, cut)
 		}
 	}
 	so.neighbors = h.appendSorted(so.neighbors)
+}
+
+// knnBound is the distance a kNN candidate must not exceed. A full heap
+// proves q.KNN rankings lie at or below its worst distance, so no
+// ranking above the smallest such worst — this shard's, or the shared
+// cut any shard published — can be in the global top q.KNN. Both
+// bounds admit equality: under the (dist, id) tie order a ranking at
+// exactly that distance with a smaller id can still belong.
+//
+//ranklint:allocfree
+func knnBound(h *resultHeap, cut *atomic.Int32, maxD int) int {
+	bound := maxD
+	if h.full() {
+		bound = h.worst()
+	}
+	if c := int(cut.Load()); c < bound {
+		bound = c
+	}
+	return bound
+}
+
+// publishCut lowers the shared cutoff to a full heap's worst distance.
+//
+//ranklint:allocfree
+func publishCut(h *resultHeap, cut *atomic.Int32) {
+	if !h.full() {
+		return
+	}
+	w := int32(h.worst())
+	for {
+		old := cut.Load()
+		if w >= old || cut.CompareAndSwap(old, w) {
+			return
+		}
+	}
 }
 
 // growCap returns s with capacity at least n (contents unspecified),

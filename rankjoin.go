@@ -16,8 +16,10 @@
 //   - V-SMART, ClusterJoin, FS-Join: related-work baselines (§2).
 //
 // Companion operations: JoinRS (join two datasets against each other),
-// JoinSets (Jaccard set-similarity join, the paper's §8 outlook), and
-// BuildIndex/Index.Search (single-query similarity range search).
+// JoinSets (Jaccard set-similarity join, the paper's §8 outlook),
+// BuildIndex/Index.Search (single-query similarity range search over a
+// static dataset) and ShardedIndex (the same search over a dynamic,
+// sharded index; Index is a one-shard ShardedIndex loaded once).
 //
 // All algorithms run on an embedded Spark-like dataflow engine with
 // hash-partitioned shuffles, broadcast variables, a bounded worker

@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 
-	"rankjoin/internal/metricspace"
 	"rankjoin/internal/rankings"
+	"rankjoin/internal/shard"
 )
 
 // KendallTau computes Kendall's tau distance for top-k lists (Fagin et
@@ -34,50 +34,50 @@ var (
 	ErrThetaRange = errors.New("rankjoin: theta must be in [0, 1]")
 )
 
-// Index is a metric range-search index over a ranking dataset: pivot
-// distances are precomputed so that range queries prune most of the
-// dataset with the triangle inequality before computing any real
-// distance (the "coarse index" idea from the authors' earlier work on
-// top-k-list similarity search).
+// Index is a static metric range-search index over a ranking dataset:
+// a one-shard ShardedIndex loaded once, so range queries run the same
+// signature-prefiltered, pivot-pruned sweep as the serving index (the
+// "coarse index" idea from the authors' earlier work on top-k-list
+// similarity search). Pivots are chosen in the background right after
+// the load, as in the serving index; until they land, queries prune by
+// signatures alone. It is safe for concurrent use.
 type Index struct {
-	idx *metricspace.PivotIndex
-	k   int
+	sx ShardedIndex
 }
 
 // BuildIndex indexes the dataset with the given number of pivots
 // (8–16 is a good range; more pivots prune better but cost more per
-// query). The dataset must be non-empty (ErrEmptyIndex otherwise) and
-// uniform-length.
+// query). The dataset must be non-empty (ErrEmptyIndex otherwise),
+// uniform-length (ErrMixedLengths) and free of duplicate ids
+// (ErrDuplicateID).
 func BuildIndex(rs []*Ranking, numPivots int) (*Index, error) {
 	if len(rs) == 0 {
 		return nil, ErrEmptyIndex
 	}
+	if numPivots <= 0 {
+		return nil, fmt.Errorf("rankjoin: numPivots must be positive, got %d", numPivots)
+	}
 	if err := checkUniform(rs); err != nil {
 		return nil, err
 	}
-	idx, err := metricspace.BuildPivotIndex(rs, numPivots, 1)
-	if err != nil {
+	if err := checkUniqueIDs(rs); err != nil {
 		return nil, err
 	}
-	return &Index{idx: idx, k: rs[0].K()}, nil
+	idx := shard.New(shard.Config{Shards: 1, PivotsPerShard: numPivots, Seed: 1})
+	if err := idx.RestoreShard(0, rs, 0); err != nil {
+		return nil, err
+	}
+	return &Index{sx: ShardedIndex{idx: idx}}, nil
 }
 
 // Search returns every indexed ranking within normalized Footrule
 // distance theta of the query (excluding the query itself when it is
-// indexed, matched by id), as canonical pairs sorted by (distance,
-// ids). The query must have the indexed length (ErrQueryLength) and
-// theta must lie in [0, 1] (ErrThetaRange).
+// indexed, matched by id), as canonical pairs sorted by ids. The query
+// must have the indexed length (ErrQueryLength) and theta must lie in
+// [0, 1] (ErrThetaRange).
 func (x *Index) Search(q *Ranking, theta float64) ([]Pair, error) {
-	if q == nil {
-		return nil, ErrNilQuery
+	if k := x.sx.idx.K(); q != nil && q.K() != k {
+		return nil, fmt.Errorf("%w: query has %d items, index has %d", ErrQueryLength, q.K(), k)
 	}
-	if q.K() != x.k {
-		return nil, fmt.Errorf("%w: query has %d items, index has %d", ErrQueryLength, q.K(), x.k)
-	}
-	if theta < 0 || theta > 1 {
-		return nil, fmt.Errorf("%w: got %g", ErrThetaRange, theta)
-	}
-	hits, _ := x.idx.RangeSearch(q, rankings.Threshold(theta, x.k))
-	rankings.SortPairs(hits)
-	return hits, nil
+	return x.sx.Search(q, theta)
 }

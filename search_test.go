@@ -68,8 +68,121 @@ func TestBuildIndexValidation(t *testing.T) {
 		rankings.MustNew(0, []rankings.Item{1, 2, 3}),
 		rankings.MustNew(1, []rankings.Item{1, 2}),
 	}
-	if _, err := rankjoin.BuildIndex(mixed, 2); err == nil {
-		t.Error("mixed lengths accepted")
+	if _, err := rankjoin.BuildIndex(mixed, 2); !errors.Is(err, rankjoin.ErrMixedLengths) {
+		t.Errorf("mixed lengths: err = %v, want ErrMixedLengths", err)
+	}
+	dup := []*rankjoin.Ranking{
+		rankings.MustNew(4, []rankings.Item{1, 2, 3}),
+		rankings.MustNew(4, []rankings.Item{3, 2, 1}),
+	}
+	if _, err := rankjoin.BuildIndex(dup, 2); !errors.Is(err, rankjoin.ErrDuplicateID) {
+		t.Errorf("duplicate ids: err = %v, want ErrDuplicateID", err)
+	}
+}
+
+// TestBuildIndexPivotValidation: a pivot count below one is rejected,
+// and more pivots than rankings clamps the pivot table to the dataset.
+func TestBuildIndexPivotValidation(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	few := testutil.RandDataset(rng, 3, 5, 20)
+	if _, err := rankjoin.BuildIndex(few, 0); err == nil {
+		t.Error("zero pivots accepted")
+	}
+	idx, err := rankjoin.BuildIndex(few, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, err := idx.Search(few[0], 1); err != nil || len(hits) != len(few)-1 {
+		t.Errorf("clamped index: %d hits err %v, want %d", len(hits), err, len(few)-1)
+	}
+}
+
+// bruteSearch is the oracle for range search: every ranking in rs
+// within theta of q except q's own id, in Search's pair order.
+func bruteSearch(rs []*rankjoin.Ranking, q *rankjoin.Ranking, theta float64) []rankjoin.Pair {
+	maxDist := rankings.Threshold(theta, q.K())
+	want := []rankjoin.Pair{}
+	for _, r := range rs {
+		if r.ID == q.ID {
+			continue
+		}
+		if d, ok := rankings.FootruleWithin(q, r, maxDist); ok {
+			want = append(want, rankings.NewPair(q.ID, r.ID, d))
+		}
+	}
+	rankings.SortPairs(want)
+	return want
+}
+
+func samePairList(a, b []rankjoin.Pair) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestIndexSearchExact: pruning must not lose or invent results at any
+// radius, for indexed and ad-hoc queries alike.
+func TestIndexSearchExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	rs := testutil.ClusteredDataset(rng, 15, 4, 8, 50)
+	idx, err := rankjoin.BuildIndex(rs, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 60; trial++ {
+		q := rs[rng.Intn(len(rs))]
+		if trial%2 == 1 {
+			q = testutil.RandRanking(rng, -1, 8, 50)
+		}
+		theta := rng.Float64()
+		got, err := idx.Search(q, theta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := bruteSearch(rs, q, theta); !samePairList(got, want) {
+			t.Fatalf("query %d theta %.3f: got %v, want %v", q.ID, theta, got, want)
+		}
+	}
+}
+
+// TestIndexSearchSelfExclusion: a query excludes only the indexed
+// ranking carrying its own id. An identical ranking under a fresh id
+// is a hit at distance 0.
+func TestIndexSearchSelfExclusion(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	rs := testutil.RandDataset(rng, 40, 6, 30)
+	idx, err := rankjoin.BuildIndex(rs, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits, err := idx.Search(rs[3], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range hits {
+		if h.A == h.B {
+			t.Fatalf("query %d matched itself: %v", rs[3].ID, h)
+		}
+	}
+	twin := rankings.MustNew(1_000_000, append([]rankings.Item(nil), rs[3].Items...))
+	hits, err = idx.Search(twin, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, h := range hits {
+		if h == rankings.NewPair(twin.ID, rs[3].ID, 0) {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("fresh-id twin of %d: hits %v lack the distance-0 original", rs[3].ID, hits)
 	}
 }
 

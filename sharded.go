@@ -1,6 +1,8 @@
 package rankjoin
 
 import (
+	"fmt"
+
 	"rankjoin/internal/rankings"
 	"rankjoin/internal/shard"
 )
@@ -58,8 +60,8 @@ func (x *ShardedIndex) Delete(id int64) (bool, error) { return x.idx.Delete(id) 
 func (x *ShardedIndex) Len() int { return x.idx.Len() }
 
 // Search returns every indexed ranking within normalized Footrule
-// distance theta of the query, as canonical pairs sorted by (distance,
-// ids) — the same contract as Index.Search. When the query's id is
+// distance theta of the query, as canonical pairs sorted by ids — the
+// same contract as Index.Search. When the query's id is
 // indexed, that entry is excluded (so searching with an indexed
 // ranking returns its neighbors, not itself).
 func (x *ShardedIndex) Search(q *Ranking, theta float64) ([]Pair, error) {
@@ -67,7 +69,7 @@ func (x *ShardedIndex) Search(q *Ranking, theta float64) ([]Pair, error) {
 		return nil, ErrNilQuery
 	}
 	if theta < 0 || theta > 1 {
-		return nil, ErrThetaRange
+		return nil, fmt.Errorf("%w: got %g", ErrThetaRange, theta)
 	}
 	k := x.idx.K()
 	if k == 0 {
